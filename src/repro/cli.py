@@ -279,7 +279,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.verify:
             verifier = ClientVerifier()
             verifier.trust(response.digest)
-            ok = verifier.verify(response.proof)
+            # The proof covers proof.ukeys, not the listed result: a
+            # server could send an honest proof and drop matches from
+            # the list, so the two must be equal.
+            ok = verifier.verify(response.proof) and list(
+                response.result or ()
+            ) == list(response.proof.ukeys)
             state = "VERIFIED" if ok else "VERIFICATION FAILED"
             print(
                 f"[{state}; {len(response.result)} matches, "

@@ -28,6 +28,22 @@ envelope *sheds* it — completes it immediately with a retryable error,
 counted as ``queue.shed`` — rather than doing work whose answer nobody
 is waiting for.  Accepted-envelope accounting therefore always
 balances: processed + shed + failed-on-stop == submitted.
+
+Inline execution on an idle node: when the cluster is started, nothing
+is queued and a node's claim can be taken without blocking,
+:meth:`SpitzCluster.submit` runs the request on the caller's thread
+instead of handing it to a node thread.  Admission is the queue's own
+code (closed check, overload check, ``queue.submitted``, root span),
+and the claimed node's envelope handler runs the request, so
+``node.processed``, ``queue.wait_seconds`` (about zero) and the
+``node.serve`` span are recorded as for a dequeued envelope.  The
+invariants hold because a serve loop also holds its node's claim while
+it handles an envelope (at most one request per node at a time), an
+inline request is only admitted while the queue is empty (it never
+overtakes queued work), and :meth:`SpitzCluster.stop` takes every
+claim after closing the queue (it waits for in-flight inline requests
+before it fails stranded work and closes the WAL).  An unstarted
+cluster, a non-empty queue or all nodes busy take the queue unchanged.
 """
 
 from __future__ import annotations
@@ -58,10 +74,12 @@ class Envelope:
     """A request plus the completion event its client waits on.
 
     The envelope is also the trace-context carrier across the
-    client→queue→node thread boundary: :meth:`MessageQueue.submit`
-    opens the request's root ``client.submit`` span and attaches it
-    (with its tracer) here, the serving node parents its ``node.serve``
-    span under it, and :meth:`complete` — the single place an envelope
+    client→queue→node thread boundary: admission
+    (:meth:`MessageQueue.submit`, or :meth:`MessageQueue.admit_inline`
+    for a request run on the caller's thread) opens the request's root
+    ``client.submit`` span and attaches it (with its tracer) here, the
+    serving node parents its ``node.serve`` span under it, and
+    :meth:`complete` — the single place an envelope
     is ever finished — closes the root span with the outcome status, so
     shed and errored requests leave a trace instead of vanishing.
     """
@@ -220,11 +238,17 @@ class MessageQueue:
             retry_after=self._suggested(depth),
         )
 
-    def submit(
-        self, request: Request, deadline: Optional[float] = None
-    ) -> Envelope:
+    def _admit(
+        self, request: Request, deadline: Optional[float], enqueue: bool
+    ) -> Optional[Envelope]:
+        """The one admission path, queued or inline (under the lock).
+
+        Closed check, overload check, root span, ``queue.submitted``
+        and the ``enqueued_at`` stamp.  With ``enqueue`` False the
+        envelope is admitted for handling on the caller's thread, but
+        only while nothing is queued; None means "queue it instead".
+        """
         now = time.perf_counter()
-        envelope = Envelope(request=request, deadline=deadline)
         with self._lock:
             if self._closed:
                 self.rejected += 1
@@ -232,7 +256,10 @@ class MessageQueue:
                 raise ClusterStoppedError(
                     "message queue is closed: the cluster is stopping"
                 )
+            if not enqueue and self._depth:
+                return None
             self._check_admission(now)
+            envelope = Envelope(request=request, deadline=deadline)
             # Open the request's root span *before* the put: once the
             # envelope is visible, a node may dequeue and complete it
             # immediately, and completion closes this span.
@@ -244,16 +271,32 @@ class MessageQueue:
                     "verify": request.verify,
                 },
             )
-            self._queue.put(envelope)
+            if enqueue:
+                self._queue.put(envelope)
+                self._depth += 1
+                self._g_depth.set(self._depth)
             self.submitted += 1
-            self._depth += 1
             # Stamped after the actual enqueue, still under the lock:
             # queue wait must not include submit-side lock contention
             # or admission-check time.
             envelope.enqueued_at = time.perf_counter()
             self._c_submitted.inc()
-            self._g_depth.set(self._depth)
         return envelope
+
+    def submit(
+        self, request: Request, deadline: Optional[float] = None
+    ) -> Envelope:
+        return self._admit(request, deadline, enqueue=True)
+
+    def admit_inline(
+        self, request: Request, deadline: Optional[float] = None
+    ) -> Optional[Envelope]:
+        """Admit a request its caller will run on a claimed node.
+
+        Returns None while envelopes are queued, so inline work never
+        overtakes them; raises like :meth:`submit` once closed.
+        """
+        return self._admit(request, deadline, enqueue=False)
 
     def record_shed(self) -> None:
         """Account one expired envelope completed without processing."""
@@ -334,6 +377,11 @@ class ProcessorNode:
         self.auditor = Auditor(ledger) if ledger is not None else None
         self.txn_manager = getattr(db, "txn_manager", None)
         self._mq = mq
+        #: Held while this node handles an envelope, whether its serve
+        #: loop dequeued it or :meth:`SpitzCluster.submit` runs it
+        #: inline on the caller's thread; so one node handles at most
+        #: one request at a time.
+        self.claim = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.processed = 0
@@ -354,8 +402,12 @@ class ProcessorNode:
         if isinstance(envelope, _Poison):
             self._mq.requeue_poison()
             return False
-        self._handle_envelope(envelope)
+        self._serve(envelope)
         return True
+
+    def _serve(self, envelope: Envelope) -> None:
+        with self.claim:
+            self._handle_envelope(envelope)
 
     def _tracer_for(self, envelope: Envelope) -> Tracer:
         # Envelopes submitted through a metrics-less queue still get
@@ -436,7 +488,7 @@ class ProcessorNode:
                 continue
             if isinstance(envelope, _Poison):
                 break
-            self._handle_envelope(envelope)
+            self._serve(envelope)
 
     def stop(self) -> None:
         self._stop.set()
@@ -526,6 +578,8 @@ class SpitzCluster:
             ProcessorNode(f"p{i}", self.db, self.queue)
             for i in range(nodes)
         ]
+        #: Set by :meth:`start`; until then every request queues.
+        self._started = False
         # The time-series telemetry plane (DESIGN.md §6h): a background
         # ticker samples the shared registry once per slot, giving the
         # service plane windowed rates, percentiles, and SLO burn
@@ -549,20 +603,22 @@ class SpitzCluster:
     def start(self) -> None:
         for node in self.nodes:
             node.start()
+        self._started = True
         if self.telemetry is not None:
             self.telemetry.start()
 
     def stop(self) -> None:
         """Stop the nodes; drain-or-fail everything still queued.
 
-        Sequence: close the queue (new submissions now raise
-        :class:`ClusterStoppedError`), poison one pill per node so the
-        serve loops process every already-accepted envelope and then
-        exit, join the threads, and fail whatever is left in the queue
-        (e.g. when the nodes were never started or died) so no client
-        blocks until its submit timeout.  In durable mode the WAL is
-        then synced and closed.  Idempotent, and identical to
-        :meth:`close`.
+        Sequence: close the queue (new submissions, queued or inline,
+        now raise :class:`ClusterStoppedError`), poison one pill per
+        node so the serve loops process every already-accepted envelope
+        and then exit, join the threads, wait for every inline request
+        still running on a caller's thread (it holds a node's claim),
+        and fail whatever is left in the queue (e.g. when the nodes
+        were never started or died) so no client blocks until its
+        submit timeout.  In durable mode the WAL is then synced and
+        closed.  Idempotent, and identical to :meth:`close`.
         """
         if self.telemetry is not None:
             self.telemetry.stop()
@@ -570,6 +626,9 @@ class SpitzCluster:
         self.queue.poison(len(self.nodes))
         for node in self.nodes:
             node.stop()
+        for node in self.nodes:
+            with node.claim:
+                pass
         stranded = self.queue.drain()
         for envelope in stranded:
             envelope.complete(
@@ -594,16 +653,37 @@ class SpitzCluster:
         self.stop()
 
     def submit(self, request: Request, timeout: float = 10.0) -> Response:
-        """Send a request through the queue and await its response.
+        """Run a request and return its response.
+
+        On a started cluster with nothing queued, the request runs on
+        the calling thread through an idle node (one whose claim is
+        free), skipping the hand-off to a node thread.  Otherwise it
+        goes through the queue and this thread waits for a node.
 
         The timeout doubles as the envelope's deadline: if no node has
         dequeued the request by then, whichever node eventually takes
         it sheds it instead of processing work this (timed-out) caller
-        will never see.  Raises :class:`ClusterOverloadedError` fast on
-        sustained queue saturation and :class:`ClusterStoppedError`
-        after shutdown — both retryable without side effects.
+        will never see.  The one difference between the two paths: a
+        queued request raises :class:`TimeoutError` after ``timeout``
+        while the node may still do the work, but an inline request
+        returns its real response even if it ran past ``timeout``.
+        Raises :class:`ClusterOverloadedError` fast on sustained queue
+        saturation and :class:`ClusterStoppedError` after shutdown —
+        both retryable without side effects.
         """
         deadline = time.perf_counter() + timeout
+        if self._started:
+            # Run inline on the first idle node, unless work is queued.
+            for node in self.nodes:
+                if node.claim.acquire(blocking=False):
+                    try:
+                        envelope = self.queue.admit_inline(request, deadline)
+                        if envelope is not None:
+                            node._handle_envelope(envelope)
+                            return envelope.response
+                    finally:
+                        node.claim.release()
+                    break  # work is queued: go behind it
         envelope = self.queue.submit(request, deadline=deadline)
         if not envelope.done.wait(timeout=timeout):
             raise TimeoutError("no processor node answered in time")

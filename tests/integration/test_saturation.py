@@ -11,6 +11,9 @@ what the nodes can process.  Under that pressure the cluster must
   — processed, shed, or failed on stop — so the counters balance.
 """
 
+import itertools
+import random
+import threading
 import time
 
 import pytest
@@ -18,7 +21,8 @@ import pytest
 from repro.core.client import run_saturation
 from repro.core.node import SpitzCluster
 from repro.core.request_handler import Request, RequestKind
-from repro.errors import ClusterOverloadedError
+from repro.durability import recover
+from repro.errors import ClusterOverloadedError, ClusterStoppedError
 
 
 def _put(i: int) -> Request:
@@ -138,3 +142,90 @@ def test_retry_pressure_preserves_the_invariant():
     # A rejection that exhausted all 4 attempts burned 4 admission
     # tries; client-side surviving rejections reconcile with that.
     assert report.completed + report.rejected_overload + report.errors <= report.offered
+
+
+@pytest.mark.stress
+def test_stop_mid_run_keeps_accounting_and_acknowledged_writes(tmp_path):
+    """8 clients send verified GET/PUT to a durable 2-node cluster and
+    stop() lands mid-run.  Requests run inline on client threads while
+    a node is idle, so stop() must wait for those in-flight commits
+    before it closes the WAL: every acknowledged PUT is recovered,
+    every accepted request is accounted for, and no client waits out
+    its timeout."""
+    root = tmp_path / "db"
+    cluster = SpitzCluster(nodes=2, durable_root=str(root), sync_every=1)
+    cluster.db.put(b"seed", b"v")  # a verified GET needs a sealed block
+    for node in cluster.nodes:
+        # Slow every request down a little, so that stop() always
+        # finds some of them in flight on client threads.
+        def handle(request, _inner=node.handler.handle):
+            time.sleep(0.002)
+            return _inner(request)
+
+        node.handler.handle = handle
+    cluster.start()
+    timeout = 5.0
+    clients = 8
+    acked = [dict() for _ in range(clients)]
+    problems = []
+
+    def client(n: int) -> None:
+        rng = random.Random(n)
+        for i in itertools.count():
+            key = f"c{n}k{rng.randrange(16)}".encode()
+            if rng.random() < 0.5:
+                value = f"v{n}.{i}".encode()
+                request = Request(
+                    RequestKind.PUT, {"key": key, "value": value}, True
+                )
+            else:
+                value = None
+                request = Request(RequestKind.GET, {"key": key}, True)
+            began = time.perf_counter()
+            try:
+                response = cluster.submit(request, timeout=timeout)
+            except ClusterStoppedError:
+                return
+            except TimeoutError:
+                problems.append(f"client {n} waited out its timeout")
+                return
+            if time.perf_counter() - began > timeout:
+                problems.append(f"client {n} blocked past its timeout")
+            if not response.ok:
+                # Only a clean "failed on stop" is allowed: a commit
+                # that raced the WAL's close would fail differently.
+                if "cluster stopped" not in (response.error or ""):
+                    problems.append(f"client {n}: {response.error}")
+                continue
+            if value is not None:
+                acked[n][key] = value
+            elif response.result != acked[n].get(key):
+                problems.append(f"client {n} read a stale {key!r}")
+
+    threads = [
+        threading.Thread(target=client, args=(n,)) for n in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.5)
+    cluster.stop()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not problems, problems
+
+    counters = cluster.stats()["counters"]
+    assert counters["queue.submitted"] > 0
+    assert (
+        counters.get("node.processed", 0)
+        + counters.get("queue.shed", 0)
+        + counters.get("cluster.failed_on_stop", 0)
+        == counters["queue.submitted"]
+    ), f"request-loss invariant violated across stop(): {counters}"
+
+    recovered = recover(root, mask_bits=cluster.db.ledger.tree.mask_bits).db
+    assert recovered.digest() == cluster.db.digest()
+    writes = {key: value for mine in acked for key, value in mine.items()}
+    assert writes
+    lost = [key for key, value in writes.items() if recovered.get(key) != value]
+    assert not lost, f"{len(lost)} acknowledged writes not recovered"

@@ -8,13 +8,15 @@ under the strict Prometheus parser.
 """
 
 import tempfile
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.core.client import ClusterClient
 from repro.core.database import SpitzDatabase
 from repro.core.node import SpitzCluster
-from repro.core.request_handler import Request, RequestKind
+from repro.core.request_handler import Request, RequestKind, Response
 from repro.core.verifier import ClientVerifier
 from repro.errors import QueryError, TamperDetectedError
 from repro.obs.exposition import parse_prometheus, render_prometheus
@@ -334,3 +336,53 @@ class TestSearchTelemetry:
             name.startswith("spitz_span_search_maintain")
             for name in series
         )
+
+
+class _StubHttpClient:
+    """Stands in for HttpClusterClient: answers search with a canned
+    response, as a remote server would."""
+
+    response = None
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def search(self, column, predicate, verify=False):
+        return self.response
+
+
+class TestRemoteSearchCli:
+    def _served_response(self):
+        db = _seeded_db()
+        ukeys, proof = db.search_verified("items.name", "apple")
+        assert len(ukeys) == 2
+        response = Response(
+            ok=True, result=ukeys, proof=proof, digest=db.digest()
+        )
+        # As a remote client sees it: through the wire codec.
+        return decode_response(encode_response(response))
+
+    def _run(self, monkeypatch, response):
+        import repro.serve.client
+
+        stub = type("Stub", (_StubHttpClient,), {"response": response})
+        monkeypatch.setattr(repro.serve.client, "HttpClusterClient", stub)
+        return main(
+            ["search", "items.name", "apple", "--port", "1", "--verify"]
+        )
+
+    def test_honest_server_verifies(self, monkeypatch, capsys):
+        assert self._run(monkeypatch, self._served_response()) == 0
+        assert "[VERIFIED; 2 matches" in capsys.readouterr().out
+
+    def test_dropped_match_with_honest_proof_fails(self, monkeypatch, capsys):
+        response = self._served_response()
+        dropped = replace(response, result=response.result[:1])
+        assert self._run(monkeypatch, dropped) == 2
+        assert "VERIFICATION FAILED" in capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Unit tests for the control layer: auditor, request handler, nodes."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.auditor import Auditor
@@ -12,6 +15,7 @@ from repro.core.request_handler import (
     Response,
 )
 from repro.core.verifier import ClientVerifier
+from repro.durability import recover
 from repro.errors import ClusterStoppedError, VerificationError
 from repro.indexes.siri import DELETE
 
@@ -267,6 +271,10 @@ class TestShutdownDiscipline:
                 Request(RequestKind.PUT, {"key": b"k", "value": b"v"})
             )
         assert cluster.queue.rejected == 1
+        assert cluster.stats()["counters"]["queue.rejected"] == 1
+        # Rejected at admission: nothing ran and no claim is held.
+        assert cluster.nodes[0].processed == 0
+        assert not cluster.nodes[0].claim.locked()
 
     def test_accepted_work_finishes_before_shutdown(self):
         """Envelopes accepted before stop() are processed, not failed:
@@ -327,6 +335,139 @@ class TestPoisonPillDiscipline:
         cluster.start()
         cluster.stop()  # joins within its 2s bound; pill was available
         assert cluster.nodes[0]._thread is None
+
+
+def _record_handling_threads(cluster):
+    """Wrap every node's handler; returns the (key, thread id) log."""
+    seen = []
+    for node in cluster.nodes:
+        def handle(request, _inner=node.handler.handle):
+            seen.append((request.payload.get("key"), threading.get_ident()))
+            return _inner(request)
+
+        node.handler.handle = handle
+    return seen
+
+
+class TestInlineExecution:
+    """A started cluster with an idle node and nothing queued runs the
+    request on the caller's thread, through the same admission and the
+    same node bookkeeping as a queued request."""
+
+    def test_idle_cluster_runs_verified_get_on_calling_thread(self):
+        cluster = SpitzCluster(nodes=2)
+        cluster.db.put(b"k", b"v")
+        cluster.start()
+        try:
+            seen = _record_handling_threads(cluster)
+            response = cluster.submit(
+                Request(RequestKind.GET, {"key": b"k"}, verify=True)
+            )
+            assert response.ok and response.result == b"v"
+            assert seen == [(b"k", threading.get_ident())]
+        finally:
+            cluster.stop()
+
+    def test_inline_get_keeps_trace_and_counters(self):
+        cluster = SpitzCluster(nodes=2)
+        cluster.db.put(b"k", b"v")
+        cluster.start()
+        try:
+            before = cluster.stats()
+            traces_before = len(cluster.metrics.flight.recent())
+            response = cluster.submit(
+                Request(RequestKind.GET, {"key": b"k"}, verify=True)
+            )
+            assert response.ok
+            after = cluster.stats()
+            for counter in ("queue.submitted", "node.processed"):
+                assert (
+                    after["counters"][counter]
+                    == before["counters"].get(counter, 0) + 1
+                )
+            waits = (
+                after["histograms"]["queue.wait_seconds"]["count"]
+                - before["histograms"]["queue.wait_seconds"]["count"]
+            )
+            assert waits == 1
+            traces = cluster.metrics.flight.recent()
+            assert len(traces) == traces_before + 1
+            trace = traces[-1]
+            assert trace.root.name == "client.submit"
+            assert trace.kind == "get" and trace.status == "ok"
+            (serve,) = [s for s in trace.spans if s.name == "node.serve"]
+            assert serve.parent_id == trace.root.span_id
+        finally:
+            cluster.stop()
+
+    def test_submit_queues_behind_waiting_envelopes(self):
+        """With envelopes already queued, a submit goes to the back of
+        the queue even though a node's claim is free."""
+        cluster = SpitzCluster(nodes=1)
+        cluster.start()
+        node = cluster.nodes[0]
+        node.stop()  # the serve loop exits; its claim stays free
+        seen = _record_handling_threads(cluster)
+        cluster.queue.submit(
+            Request(RequestKind.PUT, {"key": b"k0", "value": b"v"})
+        )
+        answered = []
+        caller = threading.Thread(target=lambda: answered.append(
+            cluster.submit(
+                Request(RequestKind.PUT, {"key": b"k1", "value": b"v"}),
+                timeout=5.0,
+            )
+        ))
+        caller.start()
+        try:
+            deadline = time.time() + 5.0
+            while cluster.queue.submitted < 2 and time.time() < deadline:
+                time.sleep(0.005)
+            assert cluster.queue.submitted == 2
+            assert seen == []  # nothing ran inline
+            node.start()
+            caller.join(timeout=5.0)
+            assert answered and answered[0].ok
+            assert [key for key, _ in seen] == [b"k0", b"k1"]
+            assert caller.ident not in {ident for _, ident in seen}
+        finally:
+            cluster.stop()
+
+    def test_stop_waits_for_inline_commit_before_closing_wal(self, tmp_path):
+        cluster = SpitzCluster(
+            nodes=2, durable_root=str(tmp_path), sync_every=1
+        )
+        cluster.start()
+        entered, release = threading.Event(), threading.Event()
+        for node in cluster.nodes:
+            def handle(request, _inner=node.handler.handle):
+                entered.set()
+                release.wait(timeout=5.0)
+                return _inner(request)
+
+            node.handler.handle = handle
+        answered = []
+        caller = threading.Thread(target=lambda: answered.append(
+            cluster.submit(
+                Request(RequestKind.PUT, {"key": b"k", "value": b"v"})
+            )
+        ))
+        caller.start()
+        assert entered.wait(timeout=5.0)
+        stopper = threading.Thread(target=cluster.stop)
+        stopper.start()
+        stopper.join(timeout=0.3)
+        assert stopper.is_alive()  # held off by the in-flight request
+        release.set()
+        caller.join(timeout=5.0)
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+        assert answered and answered[0].ok
+        recovered = recover(
+            tmp_path, mask_bits=cluster.db.ledger.tree.mask_bits
+        ).db
+        assert recovered.get(b"k") == b"v"
+        assert recovered.digest() == cluster.db.digest()
 
 
 class TestTornProofDigest:

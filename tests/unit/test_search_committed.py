@@ -9,6 +9,9 @@ equivalence.
 
 import pytest
 
+from repro.core.database import SpitzDatabase
+from repro.core.schema import TableSchema
+from repro.core.verifier import ClientVerifier
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
 from repro.forkbase.chunk_store import ChunkStore
@@ -24,6 +27,7 @@ from repro.search.committed import (
     encode_search_value,
     index_root_of,
 )
+from repro.search.proofs import SearchPredicate
 
 
 # -- search value codec -----------------------------------------------------
@@ -63,6 +67,24 @@ class TestSearchValueCodec:
 
     def test_int_and_equal_float_encode_identically(self):
         assert encode_search_value(7) == encode_search_value(7.0)
+
+    def test_negative_zero_encodes_as_zero(self):
+        assert encode_search_value(-0.0) == encode_search_value(0)
+
+    def test_verified_search_for_zero_proves_negative_zero_row(self):
+        db = SpitzDatabase(indexed_columns=["t.x"])
+        db.create_table(
+            TableSchema.make("t", [("id", "int"), ("x", "float")], "id")
+        )
+        db.insert("t", {"id": 1, "x": -0.0})
+        db.insert("t", {"id": 2, "x": 1.0})
+        ukeys, proof = db.search_verified("t.x", SearchPredicate.eq(0))
+        assert ukeys == db.search("t.x", SearchPredicate.eq(-0.0))
+        assert len(ukeys) == 1
+        verifier = ClientVerifier()
+        verifier.trust(db.digest())
+        assert verifier.verify(proof)
+        assert list(proof.ukeys) == ukeys
 
 
 # -- postings codec ---------------------------------------------------------
